@@ -19,7 +19,6 @@
 module Protocol = Service.Protocol
 module Json = Service.Json
 module Sockets = Service.Sockets
-module Frames = Service.Frames
 module Client = Service.Client
 module Engine = Service.Engine
 module Metrics = Obs.Metrics
@@ -57,8 +56,7 @@ type t = {
   shed : Metrics.Counter.t;
   latency : Metrics.Histogram.t;
   rr : int Atomic.t;
-  stop : bool Atomic.t;
-  mutable stop_pipe : (Unix.file_descr * Unix.file_descr) option;
+  stop : Sockets.stop;
   slog : Obs.Log.t;  (* structured events, routed through config.log *)
 }
 
@@ -92,8 +90,7 @@ let create config sup =
         Metrics.Histogram.create ~registry ~help:"routed request latency, seconds"
           ~buckets:latency_buckets "cluster_request_seconds";
       rr = Atomic.make 0;
-      stop = Atomic.make false;
-      stop_pipe = None;
+      stop = Sockets.stop_handle ();
       slog =
         Obs.Log.create ~sink:(Obs.Log.formatter_sink config.log)
           ~comp:"router" ();
@@ -134,10 +131,12 @@ let requests_total t cmd =
 
 (* ---- forwarding ---- *)
 
+(* compares in place: this runs on every forwarded reply *)
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+  let rec matches_at i j = j = nn || (hay.[i + j] = needle.[j] && matches_at i (j + 1)) in
+  let rec go i = i + nn <= nh && (matches_at i 0 || go (i + 1)) in
+  go 0
 
 (* A worker reply that is itself a retriable refusal (busy admission):
    the worker is healthy but shedding, so the router tries the next one.
@@ -538,125 +537,29 @@ let respond t conns line =
               Metrics.Histogram.observe t.latency (Unix.gettimeofday () -. t0);
               (reply, `Continue)))
 
-(* ---- the socket loop (mirrors Server.serve) ---- *)
+(* ---- the socket loop ---- *)
 
-let request_stop t =
-  if not (Atomic.exchange t.stop true) then
-    match t.stop_pipe with
-    | Some (_, wr) -> ( try ignore (Unix.write_substring wr "x" 0 1) with Unix.Unix_error _ -> ())
-    | None -> ()
-
-let rec wait_readable fd stop_rd =
-  match Unix.select [ fd; stop_rd ] [] [] (-1.0) with
-  | readable, _, _ -> List.mem fd readable
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_readable fd stop_rd
-
-let send fd line = match Sockets.send_line fd line with Ok () -> true | Error _ -> false
-
-let conn_loop t stop_rd fd =
-  let chunk_len = 4096 in
-  let chunk = Bytes.create chunk_len in
-  let frames = Frames.create ~max_frame:t.config.max_frame in
-  let conns = Array.make (Supervisor.size t.sup) None in
-  let alive = ref true in
-  let on_event = function
-    | Frames.Oversized ->
-        if
-          not
-            (send fd
-               (Protocol.error_reply ~id:None
-                  (Protocol.Oversized_frame { limit = t.config.max_frame })))
-        then alive := false
-    | Frames.Line line ->
-        (if String.trim line <> "" then begin
-           let reply, k = respond t conns line in
-           if not (send fd reply) then alive := false;
-           match k with
-           | `Shutdown ->
-               request_stop t;
-               alive := false
-           | `Continue -> ()
-         end);
-        if Atomic.get t.stop then alive := false
-  in
-  while !alive do
-    if not (wait_readable fd stop_rd) then alive := false
-    else
-      match Unix.read fd chunk 0 chunk_len with
-      | 0 ->
-          if Frames.pending frames then
-            ignore
-              (send fd
-                 (Protocol.error_reply ~id:None
-                    (Protocol.Parse_error "truncated line: no newline before end of stream")));
-          alive := false
-      | n -> Frames.feed frames chunk n on_event
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error _ -> alive := false
-  done;
-  Array.iter (function Some c -> Client.close c | None -> ()) conns;
-  try Unix.close fd with Unix.Unix_error _ -> ()
+let request_stop t = Sockets.request_stop t.stop
 
 let serve t addr =
-  Sockets.ignore_sigpipe ();
-  let stop_rd, stop_wr = Unix.pipe () in
-  t.stop_pipe <- Some (stop_rd, stop_wr);
-  if Atomic.get t.stop then ignore (Unix.write_substring stop_wr "x" 0 1);
-  let on_signal = Sys.Signal_handle (fun _ -> request_stop t) in
-  let old_term = Sys.signal Sys.sigterm on_signal in
-  let old_int = Sys.signal Sys.sigint on_signal in
-  let domain =
-    match addr with Protocol.Unix_domain _ -> Unix.PF_UNIX | Protocol.Tcp _ -> Unix.PF_INET
-  in
-  let listen_fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  let cleanup_path () =
-    match addr with
-    | Protocol.Unix_domain path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Protocol.Tcp _ -> ()
-  in
-  let finally () =
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    cleanup_path ();
-    t.stop_pipe <- None;
-    (try Unix.close stop_rd with Unix.Unix_error _ -> ());
-    (try Unix.close stop_wr with Unix.Unix_error _ -> ());
-    ignore (Sys.signal Sys.sigterm old_term);
-    ignore (Sys.signal Sys.sigint old_int)
-  in
-  Fun.protect ~finally @@ fun () ->
-  (match addr with Protocol.Tcp _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true | _ -> ());
-  cleanup_path ();
-  Unix.bind listen_fd (Protocol.sockaddr_of addr);
-  Unix.listen listen_fd 64;
-  Obs.Log.info t.slog
-    ~attrs:
-      [
-        ("addr", Protocol.addr_to_string addr);
-        ("workers", string_of_int (Supervisor.size t.sup));
-      ]
-    "router_listening";
-  let conns_mutex = Mutex.create () in
-  let conns = ref [] in
-  let rec accept_loop () =
-    if not (Atomic.get t.stop) then
-      if wait_readable listen_fd stop_rd then begin
-        (match Sockets.accept listen_fd with
-        | Ok (fd, _) ->
-            let th = Thread.create (fun () -> conn_loop t stop_rd fd) () in
-            Mutex.lock conns_mutex;
-            conns := th :: !conns;
-            Mutex.unlock conns_mutex
-        | Error _ -> ());
-        accept_loop ()
-      end
-  in
-  accept_loop ();
-  Mutex.lock conns_mutex;
-  let threads = !conns in
-  Mutex.unlock conns_mutex;
-  Obs.Log.info t.slog
-    ~attrs:[ ("connections", string_of_int (List.length threads)) ]
-    "draining";
-  List.iter Thread.join threads;
+  Sockets.serve t.stop addr ~max_frame:t.config.max_frame
+    ~connections:
+      (Metrics.Gauge.create ~registry:t.registry ~help:"Open client connections"
+         "cluster_connections_open")
+    ~log:t.slog
+    ~listening:
+      ( "router_listening",
+        [
+          ("addr", Protocol.addr_to_string addr);
+          ("workers", string_of_int (Supervisor.size t.sup));
+        ] )
+    ~send:(fun fd line -> Result.is_ok (Sockets.send_line fd line))
+    ~on_frame_error:ignore
+    ~session:(fun () ->
+      let conns = Array.make (Supervisor.size t.sup) None in
+      {
+        Sockets.handle = respond t conns;
+        close = (fun () -> Array.iter (Option.iter Client.close) conns);
+      });
   Obs.Log.info t.slog "fleet_stopping";
   Supervisor.shutdown ~grace:t.config.drain_grace t.sup

@@ -10,6 +10,11 @@
     workers, and when no worker can answer the client gets a typed
     retriable [unavailable] reply, never a hang.
 
+    Client connections are served by the daemon's own loop
+    ({!Service.Sockets.serve}), each with its own cached worker
+    connections; open ones are counted in the [cluster_connections_open]
+    gauge.
+
     Observability: [metrics] with ["fleet":true] federates every Up
     worker's exposition under a [worker="i"] label behind the router's
     own; when {!Obs.Trace} is enabled the router adopts (or mints) a

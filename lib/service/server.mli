@@ -1,14 +1,17 @@
 (** The persistent throughput-query daemon.
 
-    One listening socket (Unix-domain or TCP), one lightweight thread per
-    connection, NDJSON request/reply in order per connection.  Solves are
+    The socket side is {!Sockets.serve}, the loop the cluster router
+    shares: one listening socket (Unix-domain or TCP), one lightweight
+    thread per connection, NDJSON request/reply in order per connection,
+    open connections counted in the [service_connections_open] gauge.
+    Solves are
     admitted against a bounded in-flight budget — past it the daemon
     answers a retriable [busy] error instead of queueing unboundedly —
     and answered from the LRU result cache or computed on the shared
     domain pool ({!Parallel.Pool.get}; batches fan their items out across
     it).  SIGTERM/SIGINT (and the [shutdown] command) start a graceful
     drain: stop accepting, let every in-flight request finish and its
-    reply flush, dump the metrics, exit the serve loop.
+    reply flush, exit the serve loop, dump the metrics.
 
     The request machinery is exposed separately from the socket loop
     ({!create} / {!respond}) so the protocol semantics are testable

@@ -66,11 +66,10 @@ let rec wait_fd ~for_read fd deadline =
 
 (* ---- connect ---- *)
 
+let socket_domain = function Protocol.Unix_domain _ -> Unix.PF_UNIX | Protocol.Tcp _ -> Unix.PF_INET
+
 let connect ?deadline addr =
   ignore_sigpipe ();
-  let domain =
-    match addr with Protocol.Unix_domain _ -> Unix.PF_UNIX | Protocol.Tcp _ -> Unix.PF_INET
-  in
   let sockaddr =
     try Ok (Protocol.sockaddr_of addr)
     with Failure msg -> Error (Refused msg)
@@ -78,7 +77,7 @@ let connect ?deadline addr =
   match sockaddr with
   | Error _ as e -> e
   | Ok sockaddr -> (
-      let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+      let fd = Unix.socket (socket_domain addr) Unix.SOCK_STREAM 0 in
       let fail e =
         (try Unix.close fd with Unix.Unix_error _ -> ());
         Error e
@@ -174,3 +173,128 @@ let rec accept fd =
   | conn -> Ok conn
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept fd
   | exception Unix.Unix_error (err, _, _) -> Error (closing_error err "accept")
+
+(* ---- the serve loop shared by the daemon and the router ---- *)
+
+(* The self-pipe's write end exists only while [serve] runs; [serve]
+   publishes it before re-checking the flag, so a stop requested at any
+   moment either sees the pipe or is seen by [serve]. *)
+type stop = { flag : bool Atomic.t; wake : Unix.file_descr option Atomic.t }
+
+let stop_handle () = { flag = Atomic.make false; wake = Atomic.make None }
+let stopping s = Atomic.get s.flag
+
+let poke wr = try ignore (Unix.write_substring wr "x" 0 1) with Unix.Unix_error _ -> ()
+
+let request_stop s = if not (Atomic.exchange s.flag true) then Option.iter poke (Atomic.get s.wake)
+
+type session = { handle : string -> string * [ `Continue | `Shutdown ]; close : unit -> unit }
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Wait until [fd] has data or the stop pipe fires; the stop byte is never
+   consumed, so one write wakes every waiter, now and later. *)
+let rec wait_readable fd stop_rd =
+  match Unix.select [ fd; stop_rd ] [] [] (-1.0) with
+  | readable, _, _ -> List.mem fd readable
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_readable fd stop_rd
+
+let serve_connection s stop_rd ~max_frame ~send ~on_frame_error session fd =
+  let chunk = Bytes.create 4096 in
+  let frames = Frames.create ~max_frame in
+  let alive = ref true in
+  let refuse e =
+    on_frame_error e;
+    send fd (Protocol.error_reply ~id:None e)
+  in
+  let on_event = function
+    | Frames.Oversized ->
+        if not (refuse (Protocol.Oversized_frame { limit = max_frame })) then alive := false
+    | Frames.Line line ->
+        (if String.trim line <> "" then begin
+           let reply, k = session.handle line in
+           if not (send fd reply) then alive := false;
+           if k = `Shutdown then begin
+             request_stop s;
+             alive := false
+           end
+         end);
+        (* a drain lets the request that is already being served finish,
+           then closes the connection instead of reading the next frame *)
+        if stopping s then alive := false
+  in
+  while !alive do
+    if not (wait_readable fd stop_rd) then alive := false
+    else
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 ->
+          (* EOF: an unterminated tail is a truncated frame — answer it
+             (best effort; the peer may be gone) and close *)
+          if Frames.pending frames then
+            ignore (refuse (Protocol.Parse_error "truncated line: no newline before end of stream"));
+          alive := false
+      | n -> Frames.feed frames chunk n on_event
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error _ -> alive := false
+  done
+
+let serve s addr ~max_frame ~connections ~log ~listening ~send ~on_frame_error ~session =
+  ignore_sigpipe ();
+  let stop_rd, stop_wr = Unix.pipe () in
+  Atomic.set s.wake (Some stop_wr);
+  if stopping s then poke stop_wr;
+  let on_signal = Sys.Signal_handle (fun _ -> request_stop s) in
+  let old_term = Sys.signal Sys.sigterm on_signal in
+  let old_int = Sys.signal Sys.sigint on_signal in
+  let listen_fd = Unix.socket (socket_domain addr) Unix.SOCK_STREAM 0 in
+  let cleanup_path () =
+    match addr with
+    | Protocol.Unix_domain path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+    | Protocol.Tcp _ -> ()
+  in
+  let finally () =
+    close_quietly listen_fd;
+    cleanup_path ();
+    Atomic.set s.wake None;
+    close_quietly stop_rd;
+    close_quietly stop_wr;
+    ignore (Sys.signal Sys.sigterm old_term);
+    ignore (Sys.signal Sys.sigint old_int)
+  in
+  Fun.protect ~finally @@ fun () ->
+  (match addr with Protocol.Tcp _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true | _ -> ());
+  cleanup_path ();
+  Unix.bind listen_fd (Protocol.sockaddr_of addr);
+  Unix.listen listen_fd 64;
+  (let event, attrs = listening in
+   Obs.Log.info log ~attrs event);
+  (* live connections: a count, not a list of threads, so a long-lived
+     listener holds nothing per finished connection *)
+  let live_mutex = Mutex.create () and idle = Condition.create () and live = ref 0 in
+  let track delta =
+    Mutex.protect live_mutex @@ fun () ->
+    live := !live + delta;
+    Obs.Metrics.Gauge.set connections (float_of_int !live);
+    if !live = 0 then Condition.broadcast idle
+  in
+  let connection fd =
+    Fun.protect ~finally:(fun () ->
+        close_quietly fd;
+        track (-1))
+    @@ fun () ->
+    let conn = session () in
+    Fun.protect ~finally:conn.close (fun () ->
+        serve_connection s stop_rd ~max_frame ~send ~on_frame_error conn fd)
+  in
+  while (not (stopping s)) && wait_readable listen_fd stop_rd do
+    match accept listen_fd with
+    | Ok (fd, _) ->
+        track 1;
+        ignore (Thread.create connection fd)
+    | Error _ -> ()
+  done;
+  Mutex.protect live_mutex @@ fun () ->
+  Obs.Log.info log ~attrs:[ ("connections", string_of_int !live) ] "draining";
+  while !live > 0 do
+    Condition.wait idle live_mutex
+  done

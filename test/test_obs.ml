@@ -168,19 +168,41 @@ let test_concurrent_domains () =
 
 (* ---- Chrome trace export ---- *)
 
+(* a quote, a backslash, a newline and a control byte, and their JSON
+   escapes *)
+let hostile = "q\"b\\n\nc\001"
+let hostile_escaped = {|q\"b\\n\nc\u0001|}
+
 let test_chrome_export () =
   with_tracing (fun () ->
       Obs.Trace.span "outer" (fun () ->
           Obs.Trace.add_attr "k" "v\"quote";
           Obs.Trace.span "inner" (fun () -> Obs.Trace.instant "tick");
-          Obs.Trace.span "inner" (fun () -> ())));
+          Obs.Trace.span "inner" (fun () -> ()));
+      Obs.Trace.span hostile (fun () -> Obs.Trace.add_attr hostile hostile));
   let text = Obs.Trace.to_chrome_json () in
+  let contains needle =
+    let nl = String.length needle in
+    let rec go i = i + nl <= String.length text && (String.sub text i nl = needle || go (i + 1)) in
+    go 0
+  in
+  (* the exact escaping is pinned, not just its validity *)
+  Alcotest.(check bool) "hostile name escaped" true
+    (contains ({|"name":"|} ^ hostile_escaped ^ {|"|}));
+  Alcotest.(check bool) "hostile attr escaped" true
+    (contains (Printf.sprintf {|"args":{"%s":"%s"}|} hostile_escaped hostile_escaped));
   match Service.Json.parse text with
   | Error msg -> Alcotest.fail ("chrome export is not valid JSON: " ^ msg)
   | Ok json -> (
       match Service.Json.member "traceEvents" json with
       | Some (Service.Json.List events) ->
-          Alcotest.(check bool) "has events" true (List.length events >= 7);
+          Alcotest.(check bool) "has events" true (List.length events >= 9);
+          let names =
+            List.filter_map
+              (fun ev -> Option.bind (Service.Json.member "name" ev) Service.Json.to_string_opt)
+              events
+          in
+          Alcotest.(check bool) "hostile name round-trips" true (List.mem hostile names);
           (* per-tid begin/end stacks must nest and balance *)
           let stacks : (int, string list ref) Hashtbl.t = Hashtbl.create 4 in
           List.iter

@@ -1,8 +1,7 @@
 (* The throughput query service: JSON codec, LRU cache, NDJSON protocol
    semantics (through Server.respond, no socket needed), socket behaviour
-   (in-process daemon on a temp Unix socket) and the CLI serve/query pair
-   end to end.  Socket tests skip gracefully on platforms without
-   Unix-domain sockets. *)
+   (in-process daemon, and in-process router in front of one worker, on
+   temp Unix sockets) and the CLI serve/query pair end to end. *)
 
 open Service
 
@@ -554,36 +553,96 @@ let temp_socket () =
   Sys.remove path;
   path
 
-(* run [f addr] against an in-process daemon; skip (not fail) where
-   Unix-domain sockets are unavailable *)
-let with_daemon ?(config = config ()) f =
+(* A serving endpoint under test, as its clients and operators see it. *)
+type served = {
+  addr : Protocol.addr;
+  drain : unit -> unit;  (* request a stop, wait for the serve loop to return *)
+  scrape : unit -> string;  (* the endpoint's own Prometheus registry *)
+}
+
+let wait_ready addr =
+  let rec go tries =
+    if tries = 0 then Alcotest.fail "endpoint did not come up"
+    else
+      match Client.connect addr with
+      | Ok c -> Client.close c
+      | Error _ ->
+          Thread.delay 0.02;
+          go (tries - 1)
+  in
+  go 250
+
+(* run [f] against [serve] on a fresh Unix socket; the serve loop is
+   drained on the way out if [f] did not drain it *)
+let run_served ~serve ~request_stop ~scrape f =
   let path = temp_socket () in
   let addr = Protocol.Unix_domain path in
+  let thread = Thread.create serve addr in
+  let drained = ref false in
+  let drain () =
+    if not !drained then begin
+      drained := true;
+      request_stop ();
+      Thread.join thread
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      drain ();
+      if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      wait_ready addr;
+      f { addr; drain; scrape })
+
+let serve_daemon config f =
   let server = Server.create config in
-  match
-    let t = Thread.create (fun () -> Server.serve server addr) () in
-    (server, t)
-  with
-  | exception Unix.Unix_error _ -> Printf.eprintf "skipping: no Unix-domain sockets\n%!"
-  | server, thread ->
-      let rec wait_ready tries =
-        if tries = 0 then Alcotest.fail "daemon did not come up"
-        else
-          match Client.connect addr with
-          | Ok c ->
-              Client.close c
-          | Error _ ->
-              Thread.delay 0.02;
-              wait_ready (tries - 1)
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Server.request_stop server;
-          Thread.join thread;
-          if Sys.file_exists path then Sys.remove path)
-        (fun () ->
-          wait_ready 250;
-          f addr)
+  run_served ~serve:(Server.serve server)
+    ~request_stop:(fun () -> Server.request_stop server)
+    ~scrape:(fun () -> Service.Metrics.prometheus (Server.metrics server))
+    f
+
+let daemon_endpoint ~max_frame = serve_daemon (config ~max_frame ())
+let with_daemon ?(config = config ()) f = serve_daemon config (fun s -> f s.addr)
+
+let cli =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/streaming_cli.exe"
+
+(* a router in front of one worker process; the router's drain also
+   shuts the worker down *)
+let router_endpoint ~max_frame f =
+  let env =
+    Unix.environment ()
+    |> Array.to_list
+    |> List.filter (fun kv -> not (String.starts_with ~prefix:"SUPERVISE_INJECT=" kv))
+    |> Array.of_list
+  in
+  let worker = temp_socket () in
+  let spec =
+    {
+      Cluster.Supervisor.argv = [| cli; "serve"; "--socket"; "unix:" ^ worker; "--quiet" |];
+      env;
+      addr = Protocol.Unix_domain worker;
+    }
+  in
+  let sup = Cluster.Supervisor.start ~log:null_ppf [| spec |] in
+  Fun.protect ~finally:(fun () -> Cluster.Supervisor.shutdown ~grace:3.0 sup) @@ fun () ->
+  if not (Cluster.Supervisor.wait_up ~deadline:(Unix.gettimeofday () +. 20.0) sup) then
+    Alcotest.fail "worker did not come up";
+  let router =
+    Cluster.Router.create { (Cluster.Router.default_config ()) with max_frame; log = null_ppf } sup
+  in
+  run_served ~serve:(Cluster.Router.serve router)
+    ~request_stop:(fun () -> Cluster.Router.request_stop router)
+    ~scrape:(fun () -> Obs.Metrics.to_prometheus (Cluster.Router.metrics_registry router))
+    f
+
+(* the value of an unlabelled gauge in a Prometheus text *)
+let gauge_reading text name =
+  String.split_on_char '\n' text
+  |> List.find_map (fun l ->
+         match String.split_on_char ' ' l with
+         | [ n; v ] when n = name -> float_of_string_opt v
+         | _ -> None)
 
 let connect_exn addr =
   match Client.connect addr with
@@ -618,8 +677,11 @@ let test_socket_smoke () =
                 (Option.bind (Json.member "cache" stats) (fun c ->
                      Option.bind (Json.member "hits" c) Json.to_int_opt))))
 
-let test_socket_oversized_frame () =
-  with_daemon ~config:(config ~max_frame:256 ()) (fun addr ->
+(* the frame-edge and drain tests run against every endpoint: the daemon
+   and the router share one serve loop and must behave alike *)
+
+let test_socket_oversized_frame endpoint () =
+  endpoint ~max_frame:256 (fun { addr; _ } ->
       let client = connect_exn addr in
       Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
       let huge = Printf.sprintf {|{"v":1,"cmd":"ping","pad":"%s"}|} (String.make 600 'x') in
@@ -633,8 +695,8 @@ let test_socket_oversized_frame () =
       | Ok reply -> Alcotest.(check bool) "ping after oversize" true (Client.reply_ok reply)
       | Error e -> Alcotest.fail (Client.error_message e))
 
-let test_socket_truncated_line () =
-  with_daemon (fun addr ->
+let test_socket_truncated_line endpoint () =
+  endpoint ~max_frame:(1 lsl 20) (fun { addr; _ } ->
       let path = match addr with Protocol.Unix_domain p -> p | _ -> assert false in
       let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
       Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -642,8 +704,8 @@ let test_socket_truncated_line () =
       Unix.connect fd (Unix.ADDR_UNIX path);
       let partial = {|{"v":1,"cmd":"ping"|} in
       ignore (Unix.write_substring fd partial 0 (String.length partial));
-      (* EOF before any newline: the daemon answers a parse_error for the
-         dangling bytes instead of dropping them silently *)
+      (* EOF before any newline: the endpoint answers a parse_error for
+         the dangling bytes instead of dropping them silently *)
       Unix.shutdown fd Unix.SHUTDOWN_SEND;
       let ic = Unix.in_channel_of_descr fd in
       match input_line ic with
@@ -651,6 +713,65 @@ let test_socket_truncated_line () =
           Alcotest.(check (option string)) "truncated line" (Some "parse_error")
             (Client.reply_error_kind (parse_reply reply))
       | exception End_of_file -> Alcotest.fail "no reply to a truncated line")
+
+(* the open-connection gauge once it reads [expected], or as it reads
+   after 5 s: the server sees each client close asynchronously *)
+let connections_open served name ~expected =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec settle () =
+    match gauge_reading (served.scrape ()) name with
+    | None -> Alcotest.fail (name ^ " is not exported")
+    | Some v when int_of_float v = expected || Unix.gettimeofday () >= deadline ->
+        int_of_float v
+    | Some _ ->
+        Thread.delay 0.01;
+        settle ()
+  in
+  settle ()
+
+(* a drain must not wait on a client that sends nothing: the idle
+   connection is closed, the listener goes away, and the serve loop
+   returns promptly *)
+let test_socket_drain_idle ~gauge endpoint () =
+  endpoint ~max_frame:(1 lsl 20) (fun served ->
+      let idle = connect_exn served.addr in
+      Fun.protect ~finally:(fun () -> Client.close idle) @@ fun () ->
+      (match Client.ping idle with
+      | Ok reply -> Alcotest.(check bool) "pong" true (Client.reply_ok reply)
+      | Error e -> Alcotest.fail (Client.error_message e));
+      Alcotest.(check int) "one connection open" 1 (connections_open served gauge ~expected:1);
+      let t0 = Unix.gettimeofday () in
+      served.drain ();
+      Alcotest.(check bool) "drain returns promptly" true (Unix.gettimeofday () -. t0 < 5.0);
+      Alcotest.(check int) "no connection open after drain" 0
+        (connections_open served gauge ~expected:0);
+      (match Client.ping ~deadline:(Unix.gettimeofday () +. 2.0) idle with
+      | Error (Client.Closed _) -> ()
+      | Ok _ -> Alcotest.fail "idle connection still served after the drain"
+      | Error e -> Alcotest.fail ("expected a closed connection, got " ^ Client.error_message e));
+      match Client.connect served.addr with
+      | Error (Client.Refused _) -> ()
+      | Ok c ->
+          Client.close c;
+          Alcotest.fail "still accepting after the drain"
+      | Error e -> Alcotest.fail ("expected a refused connect, got " ^ Client.error_message e))
+
+(* thousands of short connections leave nothing behind: the open
+   connection gauge returns to 0 and the drain is still prompt *)
+let test_socket_connection_soak () =
+  daemon_endpoint ~max_frame:(1 lsl 20) (fun served ->
+      for _ = 1 to 2000 do
+        let c = connect_exn served.addr in
+        (match Client.ping c with
+        | Ok reply -> if not (Client.reply_ok reply) then Alcotest.fail "ping not ok"
+        | Error e -> Alcotest.fail (Client.error_message e));
+        Client.close c
+      done;
+      Alcotest.(check int) "every connection closed" 0
+        (connections_open served "service_connections_open" ~expected:0);
+      let t0 = Unix.gettimeofday () in
+      served.drain ();
+      Alcotest.(check bool) "drain returns promptly" true (Unix.gettimeofday () -. t0 < 2.0))
 
 let test_socket_torn_envelope () =
   with_daemon (fun addr ->
@@ -826,9 +947,6 @@ let test_socket_interleaved_chaos () =
 
 (* ---- CLI end to end: serve, query, SIGTERM drain, exit 0 ---- *)
 
-let cli =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/streaming_cli.exe"
-
 let sh cmd = Sys.command (cmd ^ " >/dev/null 2>&1")
 
 let test_cli_serve_query_sigterm () =
@@ -841,15 +959,6 @@ let test_cli_serve_query_sigterm () =
       Unix.stdin Unix.stdout Unix.stderr
   in
   let addr = Protocol.Unix_domain path in
-  let rec wait_ready tries =
-    if tries = 0 then Alcotest.fail "daemon did not come up"
-    else
-      match Client.connect addr with
-      | Ok c -> Client.close c
-      | Error _ ->
-          Thread.delay 0.02;
-          wait_ready (tries - 1)
-  in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -857,7 +966,7 @@ let test_cli_serve_query_sigterm () =
       if Sys.file_exists path then Sys.remove path;
       Sys.remove instance_file)
     (fun () ->
-      wait_ready 250;
+      wait_ready addr;
       Alcotest.(check int) "query ping" 0 (sh (cli ^ " query -s " ^ path ^ " ping"));
       Alcotest.(check int) "query solve" 0
         (sh (cli ^ " query -s " ^ path ^ " solve " ^ instance_file));
@@ -917,11 +1026,21 @@ let () =
       ( "socket",
         [
           Alcotest.test_case "smoke" `Quick test_socket_smoke;
-          Alcotest.test_case "oversized frame" `Quick test_socket_oversized_frame;
-          Alcotest.test_case "truncated line" `Quick test_socket_truncated_line;
+          Alcotest.test_case "oversized frame" `Quick (test_socket_oversized_frame daemon_endpoint);
+          Alcotest.test_case "truncated line" `Quick (test_socket_truncated_line daemon_endpoint);
+          Alcotest.test_case "drain with an idle connection" `Quick
+            (test_socket_drain_idle ~gauge:"service_connections_open" daemon_endpoint);
+          Alcotest.test_case "connection soak" `Quick test_socket_connection_soak;
           Alcotest.test_case "torn obs envelope" `Quick test_socket_torn_envelope;
           Alcotest.test_case "client deadline on a mute peer" `Quick test_client_deadline;
           Alcotest.test_case "interleaved chaos" `Quick test_socket_interleaved_chaos;
+        ] );
+      ( "router",
+        [
+          Alcotest.test_case "oversized frame" `Quick (test_socket_oversized_frame router_endpoint);
+          Alcotest.test_case "truncated line" `Quick (test_socket_truncated_line router_endpoint);
+          Alcotest.test_case "drain with an idle connection" `Quick
+            (test_socket_drain_idle ~gauge:"cluster_connections_open" router_endpoint);
         ] );
       ("cli", [ Alcotest.test_case "serve/query/SIGTERM" `Quick test_cli_serve_query_sigterm ]);
     ]
