@@ -10,7 +10,11 @@
 
    The hash is a fixed splitmix-style avalanche, not [Hashtbl.hash]: the
    placement must be identical across processes and runs so the chaos
-   harness can reason about which worker owns which key. *)
+   harness can reason about which worker owns which key.  It mixes eight
+   bytes per step (little-endian words, then the byte tail, with the
+   length folded into the seed), since solve keys run to several
+   kilobytes.  [Int64.to_int] drops bit 63 of each word, the top bit of
+   its last byte, which is zero in the text keys the ring sees. *)
 
 type t = { points : (int * int) array; workers : int }
 
@@ -22,8 +26,16 @@ let mix h =
   h lxor (h lsr 32)
 
 let hash_string s =
-  let h = ref 0x27d4eb2f165667 in
-  String.iter (fun c -> h := mix ((!h * 0x100000001b3) + Char.code c)) s;
+  let n = String.length s in
+  let step h x = mix ((h * 0x100000001b3) + x) in
+  let h = ref (step 0x27d4eb2f165667 n) in
+  let words = n / 8 in
+  for i = 0 to words - 1 do
+    h := step !h (Int64.to_int (String.get_int64_le s (8 * i)))
+  done;
+  for i = 8 * words to n - 1 do
+    h := step !h (Char.code (String.unsafe_get s i))
+  done;
   mix !h land max_int
 
 let create ?(vnodes = 64) workers =

@@ -23,4 +23,7 @@ val preference : t -> string -> int list
     worker's load spreads instead of dogpiling one neighbour. *)
 
 val hash_string : string -> int
-(** The ring's stable string hash (non-negative), exposed for tests. *)
+(** The ring's stable string hash (non-negative), exposed for tests: a
+    fixed avalanche over the string's 8-byte little-endian words and its
+    byte tail, seeded with its length — one mix step per 8 bytes.  The
+    top bit of every eighth byte is ignored, so keys should be text. *)

@@ -176,7 +176,6 @@ let worker_rpc t conns w line ~deadline =
 
 let route t conns ~id ~pref line =
   let deadline = Unix.gettimeofday () +. t.config.request_deadline in
-  let seed = Ring.hash_string line land 0xffff in
   let shed reason =
     Metrics.Counter.incr t.shed;
     Obs.Log.warn t.slog ~attrs:[ ("reason", reason) ] "request_shed";
@@ -228,6 +227,9 @@ let route t conns ~id ~pref line =
             match busy with Some reply -> reply | None -> shed !reason
           else begin
             Metrics.Counter.incr t.retries;
+            (* the jitter seed hashes the whole line, so it is paid only
+               when a retry is scheduled *)
+            let seed = Ring.hash_string line land 0xffff in
             let wait = Supervise.Backoff.delay t.config.retry ~seed ~attempt in
             let slack = deadline -. Unix.gettimeofday () in
             if slack <= 0.0 then shed !reason

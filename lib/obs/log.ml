@@ -41,6 +41,14 @@ let json_escape s =
     s;
   Buffer.contents b
 
+(* the C primitive behind Printf's [%g]: the same bytes, without
+   interpreting a format string on every call *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let exact_float v =
+  let short = format_float "%.12g" v in
+  if float_of_string short = v then short else format_float "%.17g" v
+
 let pid = lazy (Unix.getpid ())
 
 let to_json e =

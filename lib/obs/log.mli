@@ -39,6 +39,13 @@ val to_json : event -> string
 val json_escape : string -> string
 (** Escape a string for embedding inside JSON double quotes. *)
 
+val exact_float : float -> string
+(** The shortest of [%.12g] and [%.17g] that parses back to the same
+    float — byte-identical to [Printf.sprintf] with those formats.  It is
+    injective on finite floats ([-0] and [0] stay apart) and round-trips
+    exactly, so instance texts and JSON replies rendered with it are
+    stable. *)
+
 type sink = string -> unit
 
 val stderr_sink : sink

@@ -39,15 +39,17 @@ type query = {
 
 val default_cap : int
 
-type prepared = { key : string; canonical : string; mapping : Streaming.Mapping.t }
+type prepared = { key : string; mapping : Streaming.Mapping.t }
 
 val prepare : query -> (prepared, string) result
-(** Validates the instance through the hardened parser and canonicalizes
-    it: [key] is the cache key — the canonical instance rendering plus
-    every solve-relevant parameter (model, law, cap; budgets are
-    excluded, because they bound effort, not the value) — so two
-    textually different descriptions of the same solve share one cache
-    entry. *)
+(** Validates the instance through the hardened parser and builds [key],
+    the cache and ring key: every solve-relevant parameter (model, law,
+    cap, simulate; budgets are excluded, because they bound effort, not
+    the value) followed by {!Streaming.Instance_io.key} of the parsed
+    mapping — its canonical content with each float as its exact IEEE-754
+    bits, not a decimal rendering.  Two textually different descriptions
+    of the same solve share one cache entry; instances one ulp apart do
+    not. *)
 
 type outcome = {
   throughput : float;
@@ -88,16 +90,13 @@ type multi_query = {
       (** whole-request wall budget; split across tenants by weight *)
 }
 
-type prepared_multi = {
-  m_key : string;
-  m_canonical : string;
-  m_share : Tenancy.Platform_share.t;
-}
+type prepared_multi = { m_key : string; m_share : Tenancy.Platform_share.t }
 
 val prepare_multi : multi_query -> (prepared_multi, string) result
-(** Parse, build the contention structure, canonicalize.  Like
-    {!prepare}, the key contains every value-relevant parameter plus the
-    canonical mix rendering, so equivalent texts share a cache entry. *)
+(** Parse, build the contention structure, key.  Like {!prepare}, the key
+    contains every value-relevant parameter plus the bit-exact mix content
+    ({!Streaming.Instance_io.multi_key}), so equivalent texts share a
+    cache entry. *)
 
 type tenant_outcome = {
   t_id : string;

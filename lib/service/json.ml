@@ -7,12 +7,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(* shortest decimal that parses back to the same float, as in
-   [Instance_io]: rendering is part of the cache key and must be stable *)
-let exact_float v =
-  let short = Printf.sprintf "%.12g" v in
-  if float_of_string short = v then short else Printf.sprintf "%.17g" v
-
 let escape buf s =
   String.iter
     (fun c ->
@@ -34,7 +28,7 @@ let render v =
     | Int n -> Buffer.add_string buf (string_of_int n)
     | Float f ->
         if Float.is_finite f then begin
-          let s = exact_float f in
+          let s = Obs.Log.exact_float f in
           Buffer.add_string buf s;
           (* keep the int/float distinction on the wire *)
           if String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s then

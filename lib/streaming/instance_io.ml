@@ -120,56 +120,108 @@ let parse text =
                 with Invalid_argument msg -> Error msg)
           end)
 
-(* shortest decimal representation that parses back to the same float,
-   so that printed instances round-trip exactly *)
-let exact_float v =
-  let short = Printf.sprintf "%.12g" v in
-  if float_of_string short = v then short else Printf.sprintf "%.17g" v
-
 let parse_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> parse text
   | exception Sys_error msg -> Error msg
 
-let print ppf mapping =
-  let app = Mapping.app mapping in
-  let platform = Mapping.platform mapping in
-  let n = Application.n_stages app in
-  let m = Platform.n_processors platform in
-  Format.fprintf ppf "stages %d@\n" n;
-  Format.fprintf ppf "work";
-  for i = 0 to n - 1 do
-    Format.fprintf ppf " %s" (exact_float (Application.work app i))
+(* ---- rendering ----
+
+   One traversal writes both the canonical text and the cache key; they
+   differ only in how a float is written.  The text uses the shortest
+   decimal that parses back to the same float; the key uses the float's
+   16 hex IEEE-754 digits, with no formatting and no reparse.  Both
+   encodings are injective on the finite floats the parser admits (-0
+   and 0 included), so two mappings share a key exactly when they share
+   a canonical text. *)
+
+let text_float buf v = Buffer.add_string buf (Obs.Log.exact_float v)
+
+let hex_digits = "0123456789abcdef"
+
+let bits_float buf v =
+  let bits = Int64.bits_of_float v in
+  let hi = Int64.to_int (Int64.shift_right_logical bits 32) and lo = Int64.to_int bits in
+  for k = 7 downto 0 do
+    Buffer.add_char buf hex_digits.[(hi lsr (4 * k)) land 15]
   done;
-  Format.fprintf ppf "@\nfiles";
-  for i = 0 to n - 2 do
-    Format.fprintf ppf " %s" (exact_float (Application.file_size app i))
-  done;
-  Format.fprintf ppf "@\nprocessors %d@\nspeeds" m;
-  for p = 0 to m - 1 do
-    Format.fprintf ppf " %s" (exact_float (Platform.speed platform p))
-  done;
-  Format.fprintf ppf "@\nbandwidth default %s@\n"
-    (exact_float (Platform.bandwidth platform ~src:0 ~dst:(min 1 (m - 1))));
-  let default = Platform.bandwidth platform ~src:0 ~dst:(min 1 (m - 1)) in
-  for p = 0 to m - 1 do
-    for q = 0 to m - 1 do
-      if p <> q && Platform.bandwidth platform ~src:p ~dst:q <> default then
-        Format.fprintf ppf "bandwidth %d %d %s@\n" p q (exact_float (Platform.bandwidth platform ~src:p ~dst:q))
-    done
-  done;
-  for i = 0 to n - 1 do
-    Format.fprintf ppf "team";
-    Array.iter (fun p -> Format.fprintf ppf " %d" p) (Mapping.team mapping i);
-    Format.fprintf ppf "@\n"
+  for k = 7 downto 0 do
+    Buffer.add_char buf hex_digits.[(lo lsr (4 * k)) land 15]
   done
 
-let to_string mapping =
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  print ppf mapping;
-  Format.pp_print_flush ppf ();
+(* [%d] without the C formatter; the ids and counts written here are
+   small and non-negative *)
+let rec add_int buf n =
+  if n < 0 then Buffer.add_string buf (string_of_int n)
+  else begin
+    if n >= 10 then add_int buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+let add_floats buf float keyword n get =
+  Buffer.add_string buf keyword;
+  for i = 0 to n - 1 do
+    Buffer.add_char buf ' ';
+    float buf (get i)
+  done;
+  Buffer.add_char buf '\n'
+
+let emit_app buf float app =
+  let n = Application.n_stages app in
+  Buffer.add_string buf "stages ";
+  add_int buf n;
+  Buffer.add_char buf '\n';
+  add_floats buf float "work" n (Application.work app);
+  add_floats buf float "files" (n - 1) (Application.file_size app)
+
+(* the default bandwidth is the 0 -> 1 link; every other off-diagonal
+   link that differs from it gets an override line *)
+let emit_platform buf float platform =
+  let m = Platform.n_processors platform in
+  Buffer.add_string buf "processors ";
+  add_int buf m;
+  Buffer.add_char buf '\n';
+  add_floats buf float "speeds" m (Platform.speed platform);
+  let default = Platform.bandwidth platform ~src:0 ~dst:(min 1 (m - 1)) in
+  Buffer.add_string buf "bandwidth default ";
+  float buf default;
+  Buffer.add_char buf '\n';
+  for p = 0 to m - 1 do
+    for q = 0 to m - 1 do
+      let b = Platform.bandwidth platform ~src:p ~dst:q in
+      if p <> q && b <> default then begin
+        Buffer.add_string buf "bandwidth ";
+        add_int buf p;
+        Buffer.add_char buf ' ';
+        add_int buf q;
+        Buffer.add_char buf ' ';
+        float buf b;
+        Buffer.add_char buf '\n'
+      end
+    done
+  done
+
+let emit_teams buf mapping =
+  for i = 0 to Mapping.n_stages mapping - 1 do
+    Buffer.add_string buf "team";
+    Array.iter
+      (fun p ->
+        Buffer.add_char buf ' ';
+        add_int buf p)
+      (Mapping.team mapping i);
+    Buffer.add_char buf '\n'
+  done
+
+let render float mapping =
+  let buf = Buffer.create 1024 in
+  emit_app buf float (Mapping.app mapping);
+  emit_platform buf float (Mapping.platform mapping);
+  emit_teams buf mapping;
   Buffer.contents buf
+
+let to_string mapping = render text_float mapping
+let key mapping = render bits_float mapping
+let print ppf mapping = Format.pp_print_string ppf (to_string mapping)
 
 (* ---- multi-tenant blocks (version 1) ---- *)
 
@@ -411,48 +463,24 @@ let shared_platform decls =
         rest;
       platform
 
-let print_multi ppf decls =
+let render_multi float decls =
   let platform = shared_platform decls in
-  let m = Platform.n_processors platform in
-  Format.fprintf ppf "tenancy 1@\n";
-  Format.fprintf ppf "processors %d@\nspeeds" m;
-  for p = 0 to m - 1 do
-    Format.fprintf ppf " %s" (exact_float (Platform.speed platform p))
-  done;
-  let default = Platform.bandwidth platform ~src:0 ~dst:(min 1 (m - 1)) in
-  Format.fprintf ppf "@\nbandwidth default %s@\n" (exact_float default);
-  for p = 0 to m - 1 do
-    for q = 0 to m - 1 do
-      if p <> q && Platform.bandwidth platform ~src:p ~dst:q <> default then
-        Format.fprintf ppf "bandwidth %d %d %s@\n" p q
-          (exact_float (Platform.bandwidth platform ~src:p ~dst:q))
-    done
-  done;
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "tenancy 1\n";
+  emit_platform buf float platform;
   List.iter
     (fun d ->
-      let app = Mapping.app d.tenant_mapping in
-      let n = Application.n_stages app in
-      Format.fprintf ppf "tenant %s weight %s floor %s@\n" d.tenant_id (exact_float d.weight)
-        (exact_float d.floor);
-      Format.fprintf ppf "stages %d@\nwork" n;
-      for i = 0 to n - 1 do
-        Format.fprintf ppf " %s" (exact_float (Application.work app i))
-      done;
-      Format.fprintf ppf "@\nfiles";
-      for i = 0 to n - 2 do
-        Format.fprintf ppf " %s" (exact_float (Application.file_size app i))
-      done;
-      Format.fprintf ppf "@\n";
-      for i = 0 to n - 1 do
-        Format.fprintf ppf "team";
-        Array.iter (fun p -> Format.fprintf ppf " %d" p) (Mapping.team d.tenant_mapping i);
-        Format.fprintf ppf "@\n"
-      done)
-    decls
-
-let multi_to_string decls =
-  let buf = Buffer.create 512 in
-  let ppf = Format.formatter_of_buffer buf in
-  print_multi ppf decls;
-  Format.pp_print_flush ppf ();
+      Buffer.add_string buf "tenant ";
+      Buffer.add_string buf d.tenant_id;
+      Buffer.add_string buf " weight ";
+      float buf d.weight;
+      Buffer.add_string buf " floor ";
+      float buf d.floor;
+      Buffer.add_char buf '\n';
+      emit_app buf float (Mapping.app d.tenant_mapping);
+      emit_teams buf d.tenant_mapping)
+    decls;
   Buffer.contents buf
+
+let multi_to_string decls = render_multi text_float decls
+let multi_key decls = render_multi bits_float decls

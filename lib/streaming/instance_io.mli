@@ -29,15 +29,25 @@ val parse : string -> (Mapping.t, string) result
 val parse_file : string -> (Mapping.t, string) result
 
 val print : Format.formatter -> Mapping.t -> unit
-(** Write a mapping back in the same format. *)
+(** Write a mapping back in the same format: {!to_string}. *)
 
 val to_string : Mapping.t -> string
-(** The canonical rendering of a mapping: {!print} into a string.  Two
-    instance texts that parse to the same mapping render identically
-    (whatever their spacing, comments, line order or float spellings), and
-    the rendering parses back to the same mapping — [parse ∘ to_string =
-    id].  The query service's cache keys and the experiment journals both
-    key on this rendering. *)
+(** The canonical rendering of a mapping.  Two instance texts that parse
+    to the same mapping render identically (whatever their spacing,
+    comments, line order or float spellings), and the rendering parses
+    back to the same mapping — [parse ∘ to_string = id].  Floats are
+    written as the shortest decimal that parses back to the same value;
+    the default bandwidth is the [0 -> 1] link, and every other
+    off-diagonal link that differs from it gets an override line. *)
+
+val key : Mapping.t -> string
+(** A bit-exact cache key: the same lines as {!to_string}, with every
+    float written as its 16 hex IEEE-754 digits instead of a decimal.
+    [key m1 = key m2] exactly when [to_string m1 = to_string m2] (both
+    float encodings are injective, [-0] and [0] included), so equivalent
+    instance texts share a key and a one-ulp difference does not.  It is
+    not an instance text: it does not parse.  The query service's cache
+    keys and ring placement are built on it. *)
 
 (** {1 Multi-tenant instances}
 
@@ -88,6 +98,10 @@ val parse_multi_file : string -> (tenant_decl list, string) result
 
 val multi_to_string : tenant_decl list -> string
 (** Canonical rendering of a tenant block; [parse_multi ∘ multi_to_string
-    = id], and the tenancy service tier keys its cache on this rendering.
-    Raises [Invalid_argument] if the declarations do not share one
+    = id].  Raises [Invalid_argument] if the declarations do not share one
     platform. *)
+
+val multi_key : tenant_decl list -> string
+(** The bit-exact key of a tenant block, related to {!multi_to_string}
+    as {!key} is to {!to_string}; the tenancy service tier keys its cache
+    on it.  Raises [Invalid_argument] like {!multi_to_string}. *)
