@@ -5,61 +5,83 @@ type timing =
   | Associated of { work : int -> Dist.t; files : int -> Dist.t }
   | Scaled of Dist.t
 
+(* Task [data_set * cols + col] is data set [data_set]'s operation in
+   column [col] of its path: column 2i computes stage i, column 2i+1
+   carries file i (the send of stage i and the receive of stage i+1).
+   Its edges follow by arithmetic from the replication factors, so none
+   is stored.  A resource serves data sets in order, and a row of stage i
+   sees every [r_i]-th one, so an operation waits for the same resource's
+   operation [r_i] data sets earlier.
+
+   The order of a task's dependents fixes the start order of tasks
+   released at the same instant, hence which generator draw each gets, so
+   it is pinned (test_sim checks it against a list-based reference):
+   resource dependents first, the path successor last.  A file column
+   releases stage s+1's receive before stage s's send unless
+   r_(s+1) < r_s; with equal factors the two are one task, visited twice
+   because it counts both edges. *)
+let graph mapping model ~data_sets =
+  let n = Mapping.n_stages mapping in
+  let cols = (2 * n) - 1 in
+  let r = Mapping.replication mapping in
+  (* Strict: the processor is a single server, so its first operation on
+     a data set (the receive, or stage 0's compute) waits for its last one
+     on its previous data set (the send, or the last stage's compute) *)
+  let first_col stage = if stage > 0 then (2 * stage) - 1 else 0 in
+  let predecessors id =
+    let ds = id / cols and col = id mod cols in
+    let path = if col > 0 then 1 else 0 in
+    let behind stage = if ds >= r.(stage) then 1 else 0 in
+    match model with
+    | Model.Overlap ->
+        (* compute unit, or one-port out (stage col/2) and in (stage col/2+1) *)
+        if col mod 2 = 0 then path + behind (col / 2)
+        else path + behind (col / 2) + behind ((col / 2) + 1)
+    | Model.Strict ->
+        if col = 0 then behind 0 else if col mod 2 = 1 then path + behind ((col + 1) / 2) else path
+  in
+  let iter_dependents id f =
+    let ds = id / cols and col = id mod cols in
+    let ahead stage col =
+      let later = ds + r.(stage) in
+      if later < data_sets then f ((later * cols) + col)
+    in
+    (match model with
+    | Model.Overlap ->
+        if col mod 2 = 0 then ahead (col / 2) col
+        else begin
+          let s = col / 2 in
+          if r.(s + 1) >= r.(s) then begin
+            ahead (s + 1) col;
+            ahead s col
+          end
+          else begin
+            ahead s col;
+            ahead (s + 1) col
+          end
+        end
+    | Model.Strict ->
+        if col mod 2 = 1 then ahead (col / 2) (first_col (col / 2))
+        else if col = cols - 1 then ahead (n - 1) (first_col (n - 1)));
+    if col + 1 < cols then f (id + 1)
+  in
+  { Engine.n_tasks = data_sets * cols; predecessors; iter_dependents }
+
 let raw_completions ?release mapping model ~timing ~seed ~data_sets =
   if data_sets < 1 then invalid_arg "Pipeline_sim.completions: need at least one data set";
   Obs.Trace.span "des:pipeline_sim" @@ fun () ->
   Obs.Trace.add_attr "data_sets" (string_of_int data_sets);
   let n = Mapping.n_stages mapping in
   let cols = (2 * n) - 1 in
-  let replication = Mapping.replication mapping in
   let proc_of ~data_set ~stage = Mapping.proc_at mapping ~stage ~row:data_set in
   let op ~data_set ~col = (data_set * cols) + col in
-  let engine = Engine.create ~n_tasks:(data_sets * cols) in
-  (match release with
-  | None -> ()
-  | Some release ->
-      for ds = 0 to data_sets - 1 do
-        Engine.set_earliest engine ~task:(op ~data_set:ds ~col:0) (release ds)
-      done);
-  for ds = 0 to data_sets - 1 do
-    for col = 1 to cols - 1 do
-      (* the data set moves through receive/compute/send in order *)
-      Engine.add_dep engine ~task:(op ~data_set:ds ~col) ~after:(op ~data_set:ds ~col:(col - 1))
-    done;
-    for stage = 0 to n - 1 do
-      let r_i = replication.(stage) in
-      let prev = ds - r_i in
-      match model with
-      | Model.Overlap ->
-          if prev >= 0 then begin
-            (* compute unit of the processor is busy with its previous
-               data set *)
-            Engine.add_dep engine
-              ~task:(op ~data_set:ds ~col:(2 * stage))
-              ~after:(op ~data_set:prev ~col:(2 * stage));
-            (* one-port out: previous send of the same processor *)
-            if stage < n - 1 then
-              Engine.add_dep engine
-                ~task:(op ~data_set:ds ~col:((2 * stage) + 1))
-                ~after:(op ~data_set:prev ~col:((2 * stage) + 1));
-            (* one-port in: previous receive of the same processor *)
-            if stage > 0 then
-              Engine.add_dep engine
-                ~task:(op ~data_set:ds ~col:((2 * stage) - 1))
-                ~after:(op ~data_set:prev ~col:((2 * stage) - 1))
-          end
-      | Model.Strict ->
-          if prev >= 0 then begin
-            let first_col = if stage > 0 then (2 * stage) - 1 else 2 * stage in
-            let last_col = if stage < n - 1 then (2 * stage) + 1 else 2 * stage in
-            (* the processor is a single server: its receive for this data
-               set waits for the send of its previous one *)
-            Engine.add_dep engine
-              ~task:(op ~data_set:ds ~col:first_col)
-              ~after:(op ~data_set:prev ~col:last_col)
-          end
-    done
-  done;
+  let earliest =
+    match release with
+    | None -> fun _ -> 0.0
+    | Some release ->
+        let dates = Array.init data_sets release in
+        fun id -> if id mod cols = 0 then dates.(id / cols) else 0.0
+  in
   let g = Prng.create ~seed in
   let duration =
     match timing with
@@ -106,7 +128,7 @@ let raw_completions ?release mapping model ~timing ~seed ~data_sets =
           in
           factors.(ds) *. nominal
   in
-  let completion = Engine.run engine ~duration in
+  let completion = Engine.run (graph mapping model ~data_sets) ~earliest ~duration in
   Array.init data_sets (fun ds -> completion.(op ~data_set:ds ~col:(cols - 1)))
 
 let completions ?release mapping model ~timing ~seed ~data_sets =

@@ -29,6 +29,13 @@ type timing =
           resource it touches.  Use a law of mean 1 to preserve the
           nominal means. *)
 
+val graph : Streaming.Mapping.t -> Streaming.Model.t -> data_sets:int -> Engine.graph
+(** The precedence graph the simulation runs: task [data_set * (2n − 1) +
+    col] is data set [data_set]'s operation in column [col] of its path
+    (column [2i] computes stage [i], column [2i+1] transfers file [i]).
+    Computed by arithmetic on the replication factors; nothing is stored
+    per edge. *)
+
 val completions :
   ?release:(int -> float) ->
   Streaming.Mapping.t ->

@@ -1,6 +1,6 @@
-exception Unbounded
+exception Unbounded = Howard.Unbounded
 
-type result = { ratio : float; cycle : Digraph.edge list }
+type result = Howard.result = { ratio : float; cycle : Digraph.edge list }
 
 (* Longest-path Bellman-Ford from an implicit super source (all distances
    start at 0).  Returns a cycle whose reweighted cost exceeds [eps], if
@@ -80,7 +80,7 @@ let cycle_ratio_of edges =
   if tokens = 0 then raise Unbounded;
   weight /. float_of_int tokens
 
-(* Some cycle of the graph, used as the witness when the max ratio is 0. *)
+(* Some cycle of the graph, the oracle's witness when the max ratio is 0. *)
 let any_cycle graph =
   let n = Digraph.n_nodes graph in
   let state = Array.make n 0 in
@@ -113,12 +113,32 @@ let any_cycle graph =
   done;
   !found
 
-let max_cycle_ratio graph =
-  if not (Digraph.zero_token_acyclic graph) then raise Unbounded;
+let tolerance graph =
   let scale =
     List.fold_left (fun acc e -> max acc (abs_float e.Digraph.weight)) 1.0 (Digraph.edges graph)
   in
-  let eps = 1e-9 *. scale in
+  (scale, 1e-9 *. scale)
+
+(* Snap to the exact ratio of the witness cycle, then keep improving while
+   a strictly better cycle exists: no positive cycle at the returned ratio
+   certifies it as the maximum, up to [eps]. *)
+let rec improve graph ~eps cycle =
+  let r = cycle_ratio_of cycle in
+  match positive_cycle graph ~lambda:r ~eps with
+  | None -> { ratio = r; cycle }
+  | Some better ->
+      if cycle_ratio_of better > r then improve graph ~eps better else { ratio = r; cycle }
+
+let max_cycle_ratio graph =
+  match Howard.max_cycle_ratio graph with
+  | None -> None
+  | Some { cycle; _ } ->
+      let _, eps = tolerance graph in
+      Some (improve graph ~eps cycle)
+
+let lawler_max_cycle_ratio graph =
+  if not (Digraph.zero_token_acyclic graph) then raise Unbounded;
+  let scale, eps = tolerance graph in
   match positive_cycle graph ~lambda:0.0 ~eps with
   | None -> (
       match any_cycle graph with
@@ -141,15 +161,7 @@ let max_cycle_ratio graph =
           | None -> search lo mid witness (iterations - 1)
       in
       let _, witness = search 0.0 hi first_cycle 200 in
-      (* Snap to the exact ratio of the witness cycle, then keep improving
-         while a strictly better cycle exists. *)
-      let rec improve cycle =
-        let r = cycle_ratio_of cycle in
-        match positive_cycle graph ~lambda:r ~eps with
-        | None -> { ratio = r; cycle }
-        | Some better -> if cycle_ratio_of better > r then improve better else { ratio = r; cycle }
-      in
-      Some (improve witness)
+      Some (improve graph ~eps witness)
 
 let karp_max_cycle_mean graph =
   let n = Digraph.n_nodes graph in

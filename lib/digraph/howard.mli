@@ -1,15 +1,22 @@
 (** Howard's policy iteration for the maximum cycle ratio.
 
-    An independent (and typically faster) alternative to the parametric
-    search of {!Cycle_ratio}: maintain one outgoing edge per node (a
-    "policy"), evaluate the cycles of the policy graph, and switch a
-    node's edge whenever a neighbour offers a better ratio — or an equal
-    ratio with a better potential.  Used both as a production solver and
-    as a cross-check of {!Cycle_ratio.max_cycle_ratio} in the test suite.
+    Maintain one outgoing edge per node (a "policy"), evaluate the cycles
+    of the policy graph, and switch a node's edge whenever a neighbour
+    offers a better ratio — or an equal ratio with a better potential.
+    This is the search behind {!Cycle_ratio.max_cycle_ratio}, which
+    certifies the cycle returned here; call that instead unless the
+    uncertified policy cycle is what you want.
 
-    Restrictions: as in {!Cycle_ratio}, a cycle with positive weight and
-    no token makes the ratio infinite ({!Cycle_ratio.Unbounded}). *)
+    Restrictions: a cycle with positive weight and no token makes the
+    ratio infinite ({!Unbounded}). *)
 
-val max_cycle_ratio : Digraph.t -> float option
-(** [None] when the graph is acyclic.  Raises {!Cycle_ratio.Unbounded} on
-    a zero-token positive-weight cycle. *)
+exception Unbounded
+(** A zero-token cycle exists; re-exported as {!Cycle_ratio.Unbounded}. *)
+
+type result = { ratio : float; cycle : Digraph.edge list }
+(** [cycle] is the best cycle of the final policy, as a closed walk of
+    graph edges; [ratio] is its Σ weight / Σ tokens summed in list order. *)
+
+val max_cycle_ratio : Digraph.t -> result option
+(** [None] when the graph is acyclic.  Raises {!Unbounded} on a zero-token
+    positive-weight cycle. *)

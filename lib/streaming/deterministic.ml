@@ -44,28 +44,34 @@ let analyse_tpn tpn =
          net this reduces to the paper's m / P. *)
       let last_column = Tpn.last_column tpn in
       let throughput =
-        List.fold_left
-          (fun acc members ->
-            let in_component = Hashtbl.create 16 in
-            List.iter (fun v -> Hashtbl.replace in_component v ()) members;
-            let outputs =
-              List.length (List.filter (fun v -> Hashtbl.mem in_component v) last_column)
-            in
-            if outputs = 0 then acc
-            else begin
-              let sub = Graphs.Digraph.create (Petrinet.Teg.n_transitions teg) in
-              List.iter
-                (fun pl ->
-                  if Hashtbl.mem in_component pl.Petrinet.Teg.src then
-                    Graphs.Digraph.add_edge sub ~src:pl.Petrinet.Teg.src ~dst:pl.Petrinet.Teg.dst
-                      ~weight:(Petrinet.Teg.time teg pl.Petrinet.Teg.dst)
-                      ~tokens:pl.Petrinet.Teg.tokens ())
-                (Petrinet.Teg.places teg);
-              match Graphs.Cycle_ratio.max_cycle_ratio sub with
-              | None -> acc
-              | Some { Graphs.Cycle_ratio.ratio; _ } -> acc +. (float_of_int outputs /. ratio)
-            end)
-          0.0 (weak_components teg)
+        match weak_components teg with
+        | [ _ ] ->
+            (* one component: its graph is the whole net, already solved *)
+            float_of_int (List.length last_column) /. tpn_period
+        | components ->
+            List.fold_left
+              (fun acc members ->
+                let in_component = Hashtbl.create 16 in
+                List.iter (fun v -> Hashtbl.replace in_component v ()) members;
+                let outputs =
+                  List.length (List.filter (fun v -> Hashtbl.mem in_component v) last_column)
+                in
+                if outputs = 0 then acc
+                else begin
+                  let sub = Graphs.Digraph.create (Petrinet.Teg.n_transitions teg) in
+                  List.iter
+                    (fun pl ->
+                      if Hashtbl.mem in_component pl.Petrinet.Teg.src then
+                        Graphs.Digraph.add_edge sub ~src:pl.Petrinet.Teg.src
+                          ~dst:pl.Petrinet.Teg.dst
+                          ~weight:(Petrinet.Teg.time teg pl.Petrinet.Teg.dst)
+                          ~tokens:pl.Petrinet.Teg.tokens ())
+                    (Petrinet.Teg.places teg);
+                  match Graphs.Cycle_ratio.max_cycle_ratio sub with
+                  | None -> acc
+                  | Some { Graphs.Cycle_ratio.ratio; _ } -> acc +. (float_of_int outputs /. ratio)
+                end)
+              0.0 components
       in
       {
         model = Tpn.model tpn;

@@ -114,6 +114,21 @@ let qcheck_decomposition_matches_full_tpn =
       let dec = Deterministic.overlap_throughput_decomposed mapping in
       dec >= full -. (1e-6 *. full))
 
+(* an unreplicated stage joins every row into one weakly connected net:
+   the throughput is then the paper's m / P, with P the whole-net ratio *)
+let qcheck_coupled_net_is_m_over_p =
+  QCheck.Test.make ~name:"coupled net: throughput = m / P exactly" ~count:40 QCheck.small_int
+    (fun seed ->
+      let mapping = random_mapping (seed + 303) in
+      if not (Array.mem 1 (Mapping.replication mapping)) then QCheck.assume_fail ()
+      else
+        List.for_all
+          (fun model ->
+            let a = Deterministic.analyse mapping model in
+            a.Deterministic.throughput
+            = float_of_int (Mapping.rows mapping) /. a.Deterministic.tpn_period)
+          Model.all)
+
 let test_decomposition_exact_on_single_ended () =
   (* first and last stages unreplicated: the two formulas agree *)
   List.iter
@@ -170,6 +185,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_mct_lower_bound;
           QCheck_alcotest.to_alcotest qcheck_strict_slower_than_overlap;
           QCheck_alcotest.to_alcotest qcheck_decomposition_matches_full_tpn;
+          QCheck_alcotest.to_alcotest qcheck_coupled_net_is_m_over_p;
         ] );
       ( "simulation agreement",
         [ Alcotest.test_case "eg_sim matches theory" `Slow test_eg_sim_matches_theory ] );

@@ -140,8 +140,14 @@ let qcheck_karp_matches_lawler =
     (fun (n, seed) ->
       let rng = Prng.create ~seed:(seed + 31) in
       let g = random_unit_token_graph rng n in
-      match (Cycle_ratio.max_cycle_ratio g, Cycle_ratio.karp_max_cycle_mean g) with
-      | Some { Cycle_ratio.ratio; _ }, Some mean -> abs_float (ratio -. mean) < 1e-6
+      match
+        ( Cycle_ratio.max_cycle_ratio g,
+          Cycle_ratio.lawler_max_cycle_ratio g,
+          Cycle_ratio.karp_max_cycle_mean g )
+      with
+      | Some production, Some oracle, Some mean ->
+          abs_float (production.Cycle_ratio.ratio -. mean) < 1e-6
+          && abs_float (oracle.Cycle_ratio.ratio -. mean) < 1e-6
       | _ -> false)
 
 let qcheck_ratio_scale_invariance =
@@ -161,7 +167,8 @@ let qcheck_ratio_scale_invariance =
       | Some a, Some b -> abs_float ((factor *. a.Cycle_ratio.ratio) -. b.Cycle_ratio.ratio) < 1e-6
       | _ -> false)
 
-(* -- Howard policy iteration -- *)
+(* -- Howard policy iteration: the production search, checked against the
+   Lawler bisection oracle -- *)
 
 let howard_check = Alcotest.(check (float 1e-6))
 
@@ -170,7 +177,7 @@ let test_howard_self_loop () =
   add g 0 0 5.0 1;
   match Howard.max_cycle_ratio g with
   | None -> Alcotest.fail "expected a cycle"
-  | Some r -> howard_check "self loop" 5.0 r
+  | Some r -> howard_check "self loop" 5.0 r.Howard.ratio
 
 let test_howard_acyclic () =
   let g = Digraph.create 2 in
@@ -192,27 +199,59 @@ let test_howard_two_components () =
   add g 3 2 1.0 1;
   match Howard.max_cycle_ratio g with
   | None -> Alcotest.fail "expected cycles"
-  | Some r -> howard_check "max over components" 5.0 r
+  | Some r -> howard_check "max over components" 5.0 r.Howard.ratio
+
+(* a tokened backbone cycle plus random chords; [None] when a chord
+   closes a zero-token cycle *)
+let random_token_graph rng n =
+  let g = Digraph.create n in
+  for v = 0 to n - 1 do
+    add g v ((v + 1) mod n) (Prng.uniform rng 0.0 10.0) 1
+  done;
+  for _ = 1 to 3 * n do
+    add g (Prng.int rng n) (Prng.int rng n) (Prng.uniform rng 0.0 10.0) (Prng.int rng 3)
+  done;
+  if Digraph.zero_token_acyclic g then Some g else None
 
 let qcheck_howard_matches_lawler =
   QCheck.Test.make ~name:"Howard = Lawler on random token graphs" ~count:200
     QCheck.(pair (int_range 2 14) small_int)
     (fun (n, seed) ->
-      let rng = Prng.create ~seed:(seed + 77) in
-      let g = Digraph.create n in
-      (* a tokened backbone cycle plus random chords *)
-      for v = 0 to n - 1 do
-        add g v ((v + 1) mod n) (Prng.uniform rng 0.0 10.0) 1
-      done;
-      for _ = 1 to 3 * n do
-        add g (Prng.int rng n) (Prng.int rng n) (Prng.uniform rng 0.0 10.0) (Prng.int rng 3)
-      done;
-      if not (Digraph.zero_token_acyclic g) then QCheck.assume_fail ()
-      else
-        match (Howard.max_cycle_ratio g, Cycle_ratio.max_cycle_ratio g) with
-        | Some h, Some { Cycle_ratio.ratio; _ } -> abs_float (h -. ratio) < 1e-6 *. (1.0 +. ratio)
-        | None, None -> true
-        | _ -> false)
+      match random_token_graph (Prng.create ~seed:(seed + 77)) n with
+      | None -> QCheck.assume_fail ()
+      | Some g -> (
+          match (Cycle_ratio.max_cycle_ratio g, Cycle_ratio.lawler_max_cycle_ratio g) with
+          | Some h, Some { Cycle_ratio.ratio; _ } ->
+              abs_float (h.Cycle_ratio.ratio -. ratio) < 1e-6 *. (1.0 +. ratio)
+          | None, None -> true
+          | _ -> false))
+
+(* the witness is a cycle of the graph, and the ratio is its own *)
+let qcheck_witness_is_a_closed_walk =
+  QCheck.Test.make ~name:"critical cycle is a closed walk with the exact ratio" ~count:200
+    QCheck.(pair (int_range 1 14) small_int)
+    (fun (n, seed) ->
+      match random_token_graph (Prng.create ~seed:(seed + 5)) n with
+      | None -> QCheck.assume_fail ()
+      | Some g -> (
+          match Cycle_ratio.max_cycle_ratio g with
+          | None -> false
+          | Some { Cycle_ratio.ratio; cycle } ->
+              let edges = Digraph.edges g in
+              let rec chained = function
+                | a :: (b :: _ as rest) -> a.Digraph.dst = b.Digraph.src && chained rest
+                | _ -> true
+              in
+              cycle <> []
+              && List.for_all (fun e -> List.mem e edges) cycle
+              && chained cycle
+              && (List.nth cycle (List.length cycle - 1)).Digraph.dst = (List.hd cycle).Digraph.src
+              && Int64.equal
+                   (Int64.bits_of_float (Cycle_ratio.cycle_ratio_of cycle))
+                   (Int64.bits_of_float ratio)))
+
+let tpn_graph mapping model =
+  Petrinet.Teg.to_digraph (Streaming.Tpn.teg (Streaming.Tpn.build mapping model))
 
 let qcheck_howard_on_tpns =
   QCheck.Test.make ~name:"Howard agrees with Lawler on mapping TPNs" ~count:20 QCheck.small_int
@@ -230,9 +269,32 @@ let qcheck_howard_on_tpns =
       in
       List.for_all
         (fun model ->
-          let g = Petrinet.Teg.to_digraph (Streaming.Tpn.teg (Streaming.Tpn.build mapping model)) in
-          match (Howard.max_cycle_ratio g, Cycle_ratio.max_cycle_ratio g) with
-          | Some h, Some { Cycle_ratio.ratio; _ } -> abs_float (h -. ratio) < 1e-6 *. ratio
+          let g = tpn_graph mapping model in
+          match (Cycle_ratio.max_cycle_ratio g, Cycle_ratio.lawler_max_cycle_ratio g) with
+          | Some h, Some { Cycle_ratio.ratio; _ } ->
+              abs_float (h.Cycle_ratio.ratio -. ratio) < 1e-6 *. ratio
+          | _ -> false)
+        Streaming.Model.all)
+
+(* the sizes the Table 1 reproduction solves: its six configurations (up
+   to 20 stages), at most 60 rows, both models *)
+let qcheck_table1_sizes =
+  let sets = Array.of_list Workload.Gen.table1_sets in
+  QCheck.Test.make ~name:"production = Lawler oracle at Table 1 sizes" ~count:12
+    QCheck.(pair (int_bound (Array.length sets - 1)) small_int)
+    (fun (set, seed) ->
+      let _, params = sets.(set) in
+      let mapping =
+        Workload.Gen.random_mapping
+          (Prng.create ~seed:(seed + 1010))
+          { params with Workload.Gen.max_rows = 60 }
+      in
+      List.for_all
+        (fun model ->
+          let g = tpn_graph mapping model in
+          match (Cycle_ratio.max_cycle_ratio g, Cycle_ratio.lawler_max_cycle_ratio g) with
+          | Some h, Some { Cycle_ratio.ratio; _ } ->
+              abs_float (h.Cycle_ratio.ratio -. ratio) <= 1e-9 *. ratio
           | _ -> false)
         Streaming.Model.all)
 
@@ -258,6 +320,8 @@ let () =
           Alcotest.test_case "witness consistency" `Quick test_witness_consistency;
           QCheck_alcotest.to_alcotest qcheck_karp_matches_lawler;
           QCheck_alcotest.to_alcotest qcheck_ratio_scale_invariance;
+          QCheck_alcotest.to_alcotest qcheck_witness_is_a_closed_walk;
+          QCheck_alcotest.to_alcotest qcheck_table1_sizes;
         ] );
       ( "howard",
         [

@@ -121,7 +121,7 @@ let qcheck_eigenvalue_matches_howard =
             row)
         a;
       match (Maxplus.eigenvalue a, Graphs.Howard.max_cycle_ratio graph) with
-      | Some ev, Some howard -> abs_float (ev -. howard) < 1e-6
+      | Some ev, Some { Graphs.Howard.ratio; _ } -> abs_float (ev -. ratio) < 1e-6
       | _ -> false)
 
 let () =
